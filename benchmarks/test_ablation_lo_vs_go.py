@@ -21,8 +21,8 @@ def sweep(config):
 
 
 def run_both(seed):
-    go = sweep(SystemConfig(seed=seed, use_global_overhead=True))
-    lo = sweep(SystemConfig(seed=seed, use_global_overhead=False))
+    go = sweep(SystemConfig(seed=seed, policy_spec="go"))
+    lo = sweep(SystemConfig(seed=seed, policy_spec="lo"))
     return go, lo
 
 

@@ -1,8 +1,7 @@
 """The typed scenario-building API.
 
 This module is the recommended front door for constructing simulated
-deployments. It replaces the seven-keyword ``spawn_node(...)`` /
-``register_client_endpoint(...)`` calls of the seed API with two ideas:
+deployments. It rests on two ideas:
 
 - :class:`EndpointSpec` — one frozen value object carrying a
   participant's entire network identity (position, tier, ISP, bandwidth
@@ -30,9 +29,6 @@ Quickstart::
         .build()
     )
     scenario.run_for(30_000)
-
-The old keyword-heavy methods survive as deprecated thin wrappers on
-:class:`~repro.core.system.EdgeSystem`.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ from repro.workload.ar import ARApplication, DEFAULT_AR_APP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle-free typing only
     from repro.metro.runner import MetroSimulation
+    from repro.policy import PolicySpec
 
 __all__ = [
     "ClientFactory",
@@ -124,7 +121,7 @@ class ScenarioBuilder:
         self._app = app
         self._manager_point = manager_point
         self._global_policy = global_policy
-        self._policy_spec: Optional[object] = None
+        self._policy_spec: "Optional[PolicySpec]" = None
         self._policy_params: dict = {}
         self._node_default: Optional[EndpointSpec] = None
         self._client_default: Optional[EndpointSpec] = None
@@ -150,14 +147,14 @@ class ScenarioBuilder:
         self._client_default = spec
         return self
 
-    def policy(self, spec: object, **params: object) -> "ScenarioBuilder":
+    def policy(self, spec: "PolicySpec", **params: object) -> "ScenarioBuilder":
         """Select the client ranking policy for every built client.
 
         ``spec`` is a :mod:`repro.policy` registry name (``"ewma"``,
         ``"reliability"``, ...), a :class:`~repro.policy.SelectionPolicy`
         prototype (deep-copied per client, so per-node state is never
-        shared), or a legacy ranking callable; keyword ``params`` are
-        constructor arguments when ``spec`` is a name::
+        shared); keyword ``params`` are constructor arguments when
+        ``spec`` is a name::
 
             ScenarioBuilder(config).policy("ewma", alpha=0.5)
 

@@ -12,7 +12,7 @@ The pieces map one-to-one onto Fig. 2 of the paper:
   synchronization (Algorithm 1) and the performance monitor.
 - :class:`~repro.core.client.EdgeClient` — the user side: the
   performance-probing procedure of Algorithm 2, local edge selection
-  (LO / GO policies in :mod:`repro.core.policies`), the offloading loop,
+  (LO / GO policies in :mod:`repro.policy`), the offloading loop,
   and the failure monitor with proactive backup connections.
 - :class:`~repro.core.system.EdgeSystem` — wiring: the simulator, the
   network topology, and the live registry of nodes and clients; also the

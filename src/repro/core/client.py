@@ -43,7 +43,6 @@ from typing import (
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.core.config import SystemConfig
 from repro.core.messages import CandidateList, DiscoveryQuery
-from repro.core.policies.local_policies import LocalSelectionPolicy
 from repro.policy.base import SelectionPolicy
 from repro.core.probing import ProbeOutcome
 from repro.net.link import CONNECTION_SETUP_RTTS, Link
@@ -152,11 +151,11 @@ class EdgeClient:
         system: owning :class:`~repro.core.system.EdgeSystem`.
         user_id: unique id; must match a registered network endpoint.
         app: application profile (defaults to the system's).
-        local_policy: a :class:`~repro.policy.base.SelectionPolicy` or
-            legacy ranking callable; defaults to the system/config
-            resolved policy (``EdgeSystem.make_selection_policy``),
-            which honours ``ScenarioBuilder.policy(...)`` and
-            ``SystemConfig.policy_spec`` including QoS wrapping.
+        local_policy: a :class:`~repro.policy.base.SelectionPolicy`;
+            defaults to the system/config resolved policy
+            (``EdgeSystem.make_selection_policy``), which honours
+            ``ScenarioBuilder.policy(...)`` and ``SystemConfig.policy_spec``
+            including QoS wrapping.
         proactive_connections: keep standing connections to backups
             (False reproduces the reactive "re-connect" baseline).
         backlog_limit: max frames buffered while unattached.
@@ -168,7 +167,7 @@ class EdgeClient:
         user_id: str,
         *,
         app: Optional[ARApplication] = None,
-        local_policy: "Optional[SelectionPolicy | LocalSelectionPolicy]" = None,
+        local_policy: Optional[SelectionPolicy] = None,
         proactive_connections: bool = True,
         backlog_limit: int = 64,
     ) -> None:
@@ -235,9 +234,7 @@ class EdgeClient:
         return self._machine.policy
 
     @local_policy.setter
-    def local_policy(
-        self, policy: "SelectionPolicy | LocalSelectionPolicy"
-    ) -> None:
+    def local_policy(self, policy: SelectionPolicy) -> None:
         self._machine.policy = policy
 
     @property
@@ -260,10 +257,6 @@ class EdgeClient:
     def failure_monitor(self) -> FailureMonitor:
         return self._machine.monitor
 
-    @failure_monitor.setter
-    def failure_monitor(self, monitor: FailureMonitor) -> None:
-        self._machine.monitor = monitor
-
     @property
     def _round_in_progress(self) -> bool:
         return self._machine.round_in_progress
@@ -271,22 +264,6 @@ class EdgeClient:
     @_round_in_progress.setter
     def _round_in_progress(self, value: bool) -> None:
         self._machine.round_in_progress = value
-
-    @property
-    def _last_join_ms(self) -> float:
-        return self._machine.last_join_ms
-
-    @_last_join_ms.setter
-    def _last_join_ms(self, value: float) -> None:
-        self._machine.last_join_ms = value
-
-    @property
-    def _retries(self) -> int:
-        return self._machine._retries
-
-    @_retries.setter
-    def _retries(self, value: int) -> None:
-        self._machine._retries = value
 
     # ------------------------------------------------------------------
     # Lifecycle

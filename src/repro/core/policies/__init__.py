@@ -1,9 +1,12 @@
-"""Selection policies.
+"""Manager-side selection policies.
 
-- :mod:`~repro.core.policies.global_policies` — manager-side filters and
-  sorters that produce the coarse TopN candidate list (step 1).
-- :mod:`~repro.core.policies.local_policies` — client-side rankings over
-  probe outcomes: LO, GO, and QoS-constrained GO (step 2, §IV-D).
+- :mod:`~repro.core.policies.global_policies` — filters and sorters that
+  produce the coarse TopN candidate list (step 1).
+- :mod:`~repro.core.policies.reputation` — manager-side node reputation
+  folded into the step-1 ranking.
+
+Client-side ranking over probe outcomes (step 2, §IV-D) lives in
+:mod:`repro.policy`.
 """
 
 from repro.core.policies.global_policies import (
@@ -11,19 +14,9 @@ from repro.core.policies.global_policies import (
     GlobalSelectionPolicy,
     availability_sort_key,
 )
-from repro.core.policies.local_policies import (
-    LocalSelectionPolicy,
-    sort_by_global_overhead,
-    sort_by_local_overhead,
-    sort_with_qos,
-)
 
 __all__ = [
     "GlobalSelectionPolicy",
     "GeoProximityFilter",
     "availability_sort_key",
-    "LocalSelectionPolicy",
-    "sort_by_local_overhead",
-    "sort_by_global_overhead",
-    "sort_with_qos",
 ]

@@ -9,7 +9,7 @@ After probing a candidate, the client holds (§IV-D):
   candidate's ``n`` existing users if this user joins.
 
 :class:`ProbeOutcome` packages one candidate's probe; the policy layer
-(:mod:`repro.core.policies.local_policies`) sorts lists of them.
+(:mod:`repro.policy`) ranks lists of them.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ dynamics need:
   the node object dies instantly; every client holding a connection to
   it learns ``failure_detection_ms`` later (broken TCP connection /
   missed keepalive); the manager learns implicitly when heartbeats stop.
-- ``spawn_node()`` — a volunteer joins: endpoint registration, server
+- ``add_node()`` — a volunteer joins: endpoint registration, server
   start, first heartbeat; clients discover it at their next probing
   round, which is exactly why Fig. 8's latency drops "within seconds"
   of upward population steps.
@@ -19,7 +19,6 @@ dynamics need:
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.client import ClientLike
@@ -44,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
     from repro.controlplane.sim_driver import ShardedCentralManager
     from repro.faults.injector import FaultInjector
+    from repro.policy import PolicySpec
 
     ManagerLike = Union[CentralManager, ShardedCentralManager]
 
@@ -63,9 +63,8 @@ class EdgeSystem:
             endpoint by default — discovery costs a realistic RTT).
         global_policy: manager-side selection policy override.
         selection_policy: client-side policy spec — a
-            :mod:`repro.policy` registry name, a policy prototype, or a
-            legacy ranking callable. Overrides
-            ``config.policy_spec``; each client gets its own seeded
+            :mod:`repro.policy` registry name or a policy prototype.
+            Overrides ``config.policy_spec``; each client gets its own seeded
             instance via :meth:`make_selection_policy`.
         selection_policy_params: constructor keywords when
             ``selection_policy`` (or the config spec) is a name.
@@ -84,7 +83,7 @@ class EdgeSystem:
         app: ARApplication = DEFAULT_AR_APP,
         manager_point: Optional[GeoPoint] = None,
         global_policy: Optional[GlobalSelectionPolicy] = None,
-        selection_policy: Optional[object] = None,
+        selection_policy: "Optional[PolicySpec]" = None,
         selection_policy_params: Optional[Dict[str, object]] = None,
         trace: Optional[Tracer] = None,
         faults: Optional["FaultInjector"] = None,
@@ -162,8 +161,7 @@ class EdgeSystem:
         """A fresh, per-client selection policy instance.
 
         Resolution order: the system's ``selection_policy`` argument,
-        else ``config.policy_spec`` (with the deprecated
-        ``use_global_overhead`` mapped through), else GO. QoS admission
+        else ``config.policy_spec``, else GO. QoS admission
         (``config.qos_latency_ms``) wraps whatever was resolved, and
         the policy's private randomness is seeded deterministically from
         the config seed and the user id.
@@ -177,7 +175,7 @@ class EdgeSystem:
             else self.config.selection_policy_spec
         )
         return build_policy(
-            spec,  # type: ignore[arg-type]
+            spec,
             params=self.selection_policy_params or None,
             qos_latency_ms=self.config.qos_latency_ms,
             seed=derive_seed(self.config.seed, f"policy.{user_id}"),
@@ -230,47 +228,6 @@ class EdgeSystem:
             node.start()
         self._record_population()
         return node
-
-    def spawn_node(
-        self,
-        node_id: str,
-        profile: HardwareProfile,
-        point: GeoPoint,
-        *,
-        tier: NetworkTier = NetworkTier.HOME_WIFI,
-        isp: Optional[str] = None,
-        uplink_mbps: Optional[float] = None,
-        downlink_mbps: Optional[float] = None,
-        access_extra_ms: float = 0.0,
-        dedicated: bool = False,
-        host_schedule: Optional[HostWorkloadSchedule] = None,
-        start: bool = True,
-    ) -> EdgeServer:
-        """Deprecated: use :meth:`add_node` with an
-        :class:`~repro.net.topology.EndpointSpec` (or
-        :class:`~repro.api.ScenarioBuilder`) instead of seven unpacked
-        network keywords. Thin wrapper; behaviour is identical."""
-        warnings.warn(
-            "EdgeSystem.spawn_node is deprecated; use add_node(node_id, "
-            "profile, EndpointSpec(...)) or repro.api.ScenarioBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.add_node(
-            node_id,
-            profile,
-            EndpointSpec(
-                point,
-                tier=tier,
-                isp=isp,
-                uplink_mbps=uplink_mbps,
-                downlink_mbps=downlink_mbps,
-                access_extra_ms=access_extra_ms,
-            ),
-            dedicated=dedicated,
-            host_schedule=host_schedule,
-            start=start,
-        )
 
     def fail_node(self, node_id: str) -> None:
         """Kill a node without notification (crash / volunteer leaves).
@@ -429,38 +386,6 @@ class EdgeSystem:
     def add_client_endpoint(self, user_id: str, spec: EndpointSpec) -> None:
         """Register a user device's network endpoint from a spec."""
         self.topology.add_endpoint(spec.endpoint(user_id))
-
-    def register_client_endpoint(
-        self,
-        user_id: str,
-        point: GeoPoint,
-        *,
-        tier: NetworkTier = NetworkTier.HOME_WIFI,
-        isp: Optional[str] = None,
-        uplink_mbps: Optional[float] = None,
-        downlink_mbps: Optional[float] = None,
-        access_extra_ms: float = 0.0,
-    ) -> None:
-        """Deprecated: use :meth:`add_client_endpoint` with an
-        :class:`~repro.net.topology.EndpointSpec`. Thin wrapper."""
-        warnings.warn(
-            "EdgeSystem.register_client_endpoint is deprecated; use "
-            "add_client_endpoint(user_id, EndpointSpec(...)) or "
-            "repro.api.ScenarioBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.add_client_endpoint(
-            user_id,
-            EndpointSpec(
-                point,
-                tier=tier,
-                isp=isp,
-                uplink_mbps=uplink_mbps,
-                downlink_mbps=downlink_mbps,
-                access_extra_ms=access_extra_ms,
-            ),
-        )
 
     def add_client(self, client: ClientLike, *, start: bool = True) -> None:
         """Register (and by default start) a client.

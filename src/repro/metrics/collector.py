@@ -10,9 +10,9 @@ read. Nothing in the selection algorithms ever reads the collector —
 measurement is strictly one-way.
 
 The pre-redesign mutation entry points (``record_frame`` & friends)
-shipped one release as :class:`DeprecationWarning` shims and have been
-removed: emit the corresponding trace event via ``Tracer.emit()`` (or
-call :meth:`MetricsCollector.on_event` directly in tests).
+have been removed: emit the corresponding trace event via
+``Tracer.emit()`` (or call :meth:`MetricsCollector.on_event` directly
+in tests).
 """
 
 from __future__ import annotations

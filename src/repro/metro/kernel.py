@@ -42,8 +42,15 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.geo import geohash
+from repro.geo.point import EARTH_RADIUS_KM
 from repro.metro.spec import MetroPopulation, MetroSpec, quantize_ticks
-from repro.net.latency import TIER_INFLATION_MS, NetworkTier
+from repro.net.latency import (
+    MS_PER_KM,
+    PATH_STRETCH,
+    RTT_FLOOR_MS,
+    TIER_INFLATION_MS,
+    NetworkTier,
+)
 from repro.obs.events import (
     CoveredFailover,
     FrameDone,
@@ -65,17 +72,11 @@ __all__ = [
     "ShardInbox",
 ]
 
-#: Latency-model constants, mirroring DistanceRttModel defaults with
-#: both endpoints on the HOME_WIFI tier (the volunteer/user last mile).
-_RTT_FLOOR_MS = 1.0
-_MS_PER_KM = 0.0075
-_PATH_STRETCH = 1.6
+#: Both endpoints on the HOME_WIFI tier (the volunteer/user last mile).
 _TIER_MS = 2.0 * TIER_INFLATION_MS[NetworkTier.HOME_WIFI]
 #: M/D/1 utilization cap — matches the EdgeSystem queue's stability
 #: guard: beyond this the analytic wait would explode to infinity.
 _RHO_CAP = 0.95
-
-_EARTH_RADIUS_KM = 6371.0088
 
 
 def _haversine_km(
@@ -87,7 +88,7 @@ def _haversine_km(
     dphi = p2 - p1
     dlmb = np.radians(lon2 - lon1)
     a = np.sin(dphi / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dlmb / 2.0) ** 2
-    return 2.0 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
 @dataclass
@@ -575,8 +576,8 @@ class MetroKernel:
             dist = _haversine_km(clat, clon, self.n_lat[cand], self.n_lon[cand])
             wait = self._node_wait()
             score = (
-                _RTT_FLOOR_MS
-                + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
+                RTT_FLOOR_MS
+                + 2.0 * dist * MS_PER_KM * PATH_STRETCH
                 + _TIER_MS
                 + self.n_service[cand]
                 + wait[cand]
@@ -618,8 +619,8 @@ class MetroKernel:
             self.u_lat[users], self.u_lon[users], self.n_lat[nodes], self.n_lon[nodes]
         )
         return (
-            _RTT_FLOOR_MS
-            + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
+            RTT_FLOOR_MS
+            + 2.0 * dist * MS_PER_KM * PATH_STRETCH
             + _TIER_MS
             + self.spec.frame_transfer_ms
             + self.n_service[nodes]

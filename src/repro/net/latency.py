@@ -147,6 +147,13 @@ class EndpointInfo:
     access_extra_ms: float = 0.0
 
 
+#: :class:`DistanceRttModel` defaults, shared with the metro kernel's
+#: vectorized RTT so both compute the same floats.
+RTT_FLOOR_MS = 1.0
+MS_PER_KM = 0.0075
+PATH_STRETCH = 1.6
+
+
 class DistanceRttModel:
     """RTT from distance, endpoint tiers, ISP affiliation and jitter.
 
@@ -170,9 +177,9 @@ class DistanceRttModel:
 
     def __init__(
         self,
-        floor_ms: float = 1.0,
-        ms_per_km: float = 0.0075,
-        path_stretch: float = 1.6,
+        floor_ms: float = RTT_FLOOR_MS,
+        ms_per_km: float = MS_PER_KM,
+        path_stretch: float = PATH_STRETCH,
         same_isp_discount_ms: float = 2.0,
         tier_inflation_ms: Optional[Dict[NetworkTier, float]] = None,
         jitter: Optional[JitterModel] = None,

@@ -25,9 +25,7 @@ Layers:
 
 The metrics-reporting API is built on top: components *emit* trace
 events and :class:`~repro.metrics.collector.MetricsCollector`
-subscribes and reduces them — nothing mutates the collector directly
-anymore (the old ``record_*`` entry points survive one release as
-``DeprecationWarning`` shims).
+subscribes and reduces them — nothing mutates the collector directly.
 """
 
 from repro.obs.events import (

@@ -30,11 +30,9 @@ from repro.policy.base import (
     SelectionPolicy,
 )
 from repro.policy.baselines import (
-    CallableRankingPolicy,
     GlobalOverheadPolicy,
     LocalOverheadPolicy,
     QosGatedPolicy,
-    as_policy,
 )
 from repro.policy.predictive import (
     ChurnAwarePolicy,
@@ -53,7 +51,6 @@ from repro.policy.registry import (
 
 __all__ = [
     "AttachmentObserved",
-    "CallableRankingPolicy",
     "CandidateChurn",
     "ChurnAwarePolicy",
     "DegradedDiscovery",
@@ -71,7 +68,6 @@ __all__ = [
     "RankingContext",
     "ReliabilityPolicy",
     "SelectionPolicy",
-    "as_policy",
     "build_policy",
     "describe",
     "get",

@@ -17,8 +17,6 @@ from repro.policy.baselines import (
     GlobalOverheadPolicy,
     LocalOverheadPolicy,
     QosGatedPolicy,
-    RankingCallable,
-    as_policy,
 )
 from repro.policy.predictive import (
     ChurnAwarePolicy,
@@ -36,10 +34,9 @@ __all__ = [
     "register",
 ]
 
-#: Anything :func:`build_policy` accepts: a registry name, a policy
-#: instance (used as a prototype — cloned, never shared), or a legacy
-#: ranking callable.
-PolicySpec = Union[str, SelectionPolicy, RankingCallable]
+#: Anything :func:`build_policy` accepts: a registry name or a policy
+#: instance (used as a prototype — cloned, never shared).
+PolicySpec = Union[str, SelectionPolicy]
 
 PolicyFactory = Callable[..., SelectionPolicy]
 
@@ -104,8 +101,6 @@ def build_policy(
       ``params`` as constructor keywords.
     - A **policy object** is treated as a prototype and deep-copied, so
       per-node state is never shared between clients.
-    - A **legacy ranking callable** is wrapped in the adapter that
-      preserves its exact historical ranking and hysteresis behaviour.
 
     ``qos_latency_ms`` wraps the result in QoS admission (the
     ``SystemConfig.qos_latency_ms`` semantics); ``seed`` hands the
@@ -121,10 +116,6 @@ def build_policy(
                 "policy instance directly instead"
             )
         policy = copy.deepcopy(spec)
-    elif callable(spec):
-        if params:
-            raise ValueError("params only apply to registry names")
-        policy = as_policy(spec)
     else:
         raise TypeError(f"not a policy spec: {spec!r}")
     if qos_latency_ms is not None:

@@ -69,11 +69,7 @@ from repro.protocol.events import (
     WrrAssignRequested,
 )
 from repro.protocol.failure_monitor import FailureMonitor
-from repro.protocol.selection import (
-    LocalRanking,
-    SelectionConfig,
-    SelectionMachine,
-)
+from repro.protocol.selection import SelectionConfig, SelectionMachine
 from repro.protocol.admission import AdmissionConfig, AdmissionMachine
 from repro.protocol.global_select import GlobalSelectionMachine
 
@@ -81,7 +77,6 @@ __all__ = [
     # machines
     "SelectionMachine",
     "SelectionConfig",
-    "LocalRanking",
     "AdmissionMachine",
     "AdmissionConfig",
     "GlobalSelectionMachine",

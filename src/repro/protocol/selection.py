@@ -75,7 +75,6 @@ from repro.policy.base import (
     RankingContext,
     SelectionPolicy,
 )
-from repro.policy.baselines import as_policy
 from repro.protocol.effects import (
     Attached,
     Effect,
@@ -104,12 +103,7 @@ from repro.protocol.failure_monitor import FailureMonitor
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.probing import ProbeOutcome
 
-__all__ = ["SelectionConfig", "SelectionMachine", "LocalRanking"]
-
-#: A local selection policy: rank probe outcomes best-first (possibly
-#: filtering, e.g. a QoS cut). Structurally identical to
-#: ``repro.core.policies.local_policies.LocalSelectionPolicy``.
-LocalRanking = Callable[[Sequence["ProbeOutcome"]], List["ProbeOutcome"]]
+__all__ = ["SelectionConfig", "SelectionMachine"]
 
 
 def _never() -> bool:
@@ -138,9 +132,8 @@ class SelectionMachine:
 
     Args:
         user_id: the client's id (stamped into trace events).
-        policy: a :class:`~repro.policy.base.SelectionPolicy`, or a
-            legacy ranking callable (wrapped in the adapter that
-            preserves its exact historical behaviour).
+        policy: the :class:`~repro.policy.base.SelectionPolicy` that
+            ranks candidates and orders backups.
         config: protocol constants (dwell, hysteresis, retries).
         detail_guard: zero-arg callable gating *detail* trace events
             (``JoinAttempt``, ``DiscoveryReturned``,
@@ -152,13 +145,13 @@ class SelectionMachine:
     def __init__(
         self,
         user_id: str,
-        policy: "SelectionPolicy | LocalRanking",
+        policy: SelectionPolicy,
         config: SelectionConfig,
         *,
         detail_guard: Callable[[], bool] = _never,
     ) -> None:
         self.user_id = user_id
-        self._policy = as_policy(policy)
+        self.policy = policy
         self.config = config
         #: Live robustness knob (§IV-E): adaptive controllers may move it.
         self.top_n = config.top_n
@@ -180,16 +173,15 @@ class SelectionMachine:
     def attached(self) -> bool:
         return self.current_edge is not None
 
-    # ------------------------------------------------------------------
-    # Policy access (drivers accept legacy callables through here too)
-    # ------------------------------------------------------------------
     @property
     def policy(self) -> SelectionPolicy:
         return self._policy
 
     @policy.setter
-    def policy(self, policy: "SelectionPolicy | LocalRanking") -> None:
-        self._policy = as_policy(policy)
+    def policy(self, policy: SelectionPolicy) -> None:
+        if not isinstance(policy, SelectionPolicy):
+            raise TypeError(f"not a SelectionPolicy: {policy!r}")
+        self._policy = policy
 
     # ------------------------------------------------------------------
     # Pickling: per-node policy state is part of the machine's state;

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.messages import DiscoveryQuery, from_wire, to_wire
 from repro.faults.injector import MANAGER_ID
-from repro.core.policies.local_policies import LocalSelectionPolicy
 from repro.core.probing import ProbeOutcome
 from repro.policy import SelectionPolicy, build_policy
 from repro.sim.random import derive_seed
@@ -104,7 +103,7 @@ class LiveClient:
         manager_port: int,
         *,
         top_n: int = 3,
-        policy: "Optional[str | SelectionPolicy | LocalSelectionPolicy]" = None,
+        policy: "Optional[str | SelectionPolicy]" = None,
         request_timeout: float = 5.0,
         tracer: Optional[Tracer] = None,
         selection_config: Optional[SelectionConfig] = None,
@@ -143,9 +142,9 @@ class LiveClient:
                 switch_penalty_fraction=_LIVE_DEFAULTS.switch_penalty_fraction,
             )
         #: The sans-IO protocol core this driver executes. The policy
-        #: spec accepts a repro.policy registry name, a policy object,
-        #: or a legacy ranking callable; its private randomness is
-        #: seeded deterministically from the user id.
+        #: spec accepts a repro.policy registry name or a policy object;
+        #: its private randomness is seeded deterministically from the
+        #: user id.
         self._machine = SelectionMachine(
             user_id,
             build_policy(
@@ -188,9 +187,7 @@ class LiveClient:
         return self._machine.policy
 
     @policy.setter
-    def policy(
-        self, policy: "str | SelectionPolicy | LocalSelectionPolicy"
-    ) -> None:
+    def policy(self, policy: "str | SelectionPolicy") -> None:
         if isinstance(policy, str):
             policy = build_policy(
                 policy, seed=derive_seed(0, f"live-policy.{self.user_id}")

@@ -451,7 +451,10 @@ class LiveEdgeServer:
                 frame = await protocol.read_frame(reader)
                 if frame is None or self._dead:
                     break
-                reply = await self._dispatch(frame)
+                try:
+                    reply = await self._dispatch(frame)
+                except protocol.MALFORMED_PAYLOAD as exc:
+                    reply = protocol.malformed_reply(frame["op"], exc)
                 if self._dead:
                     break
                 writer.write(protocol.encode_frame("reply", reply))

@@ -151,7 +151,10 @@ class ManagerServer:
                 frame = await protocol.read_frame(reader)
                 if frame is None:
                     break
-                reply = self._dispatch(frame)
+                try:
+                    reply = self._dispatch(frame)
+                except protocol.MALFORMED_PAYLOAD as exc:
+                    reply = protocol.malformed_reply(frame["op"], exc)
                 writer.write(protocol.encode_frame("reply", reply))
                 await writer.drain()
         except (protocol.ProtocolError, ConnectionResetError):
@@ -178,13 +181,14 @@ class ManagerServer:
         payload = frame["payload"]
         if op == "heartbeat":
             status: NodeStatus = from_wire(payload["status"])
+            address = (payload["host"], payload["port"])
             self.heartbeats_received += 1
             self._run_effects(
                 self._machine.handle(
                     HeartbeatReceived(stamp=time.monotonic(), status=status)
                 )
             )
-            self._addresses[status.node_id] = (payload["host"], payload["port"])
+            self._addresses[status.node_id] = address
             return {"ok": True}
         if op == "discover":
             query: DiscoveryQuery = from_wire(payload["query"])

@@ -29,6 +29,18 @@ class ProtocolError(Exception):
     """Malformed frame or unexpected operation."""
 
 
+#: What a server's dispatch raises when a well-formed frame carries a
+#: payload of the wrong shape (a missing key, a string where an object
+#: belongs, an undecodable wire message). Servers answer these with an
+#: ``{"ok": false, "error": ...}`` reply and keep the connection open.
+MALFORMED_PAYLOAD = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def malformed_reply(op: object, exc: Exception) -> Dict[str, Any]:
+    """The error reply for a request whose payload did not parse."""
+    return {"ok": False, "error": f"malformed {op!r} payload: {exc!r}"}
+
+
 class EdgeUnreachableError(ProtocolError):
     """A peer is currently unreachable and the caller should fail fast.
 

@@ -7,16 +7,19 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 
 def build_world(config):
     system = EdgeSystem(config)
     for i in range(5):
-        system.spawn_node(
-            f"n{i}", profile_by_name("t2.xlarge"), GeoPoint(44.95 + i * 0.01, -93.25)
+        system.add_node(
+            f"n{i}",
+            profile_by_name("t2.xlarge"),
+            EndpointSpec(GeoPoint(44.95 + i * 0.01, -93.25)),
         )
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     return system, client

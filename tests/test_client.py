@@ -7,6 +7,7 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 
@@ -19,8 +20,8 @@ def build_system(config=None, nodes=("V1", "V2", "V5")):
         "V5": GeoPoint(44.90, -93.10),
     }
     for name in nodes:
-        system.spawn_node(name, profile_by_name(name), points[name])
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+        system.add_node(name, profile_by_name(name), EndpointSpec(points[name]))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     return system
 
 

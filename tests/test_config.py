@@ -16,8 +16,7 @@ def test_defaults_are_paper_shaped():
 
 def test_with_top_n_copies():
     base = SystemConfig()
-    with pytest.warns(DeprecationWarning, match="with_top_n"):
-        varied = base.with_top_n(5)
+    varied = base.with_(top_n=5)
     assert varied.top_n == 5
     assert base.top_n == 3
     assert varied.probing_period_ms == base.probing_period_ms

@@ -1,12 +1,14 @@
-"""Formal coverage for the deprecation surface.
+"""Formal coverage for the removed deprecation surface.
 
 Policy: a shim ships for one release with a :class:`DeprecationWarning`,
-then is removed. The PR 1 system-construction shims
-(``spawn_node``/``register_client_endpoint``) are in their warning
-release and must keep working; the PR 2 metrics mutators
-(``record_*``) have completed the cycle and must be gone.
+then is removed. Every shim has completed that cycle: the
+system-construction keywords (``spawn_node``/``register_client_endpoint``),
+the boolean ``use_global_overhead`` policy flag, ``with_top_n`` and the
+metrics mutators (``record_*``) must all be gone, and their replacements
+must not warn.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -22,24 +24,12 @@ def make_system() -> EdgeSystem:
     return EdgeSystem(SystemConfig(seed=3))
 
 
-def test_spawn_node_warns_and_still_works():
-    system = make_system()
-    with pytest.warns(DeprecationWarning, match="spawn_node is deprecated"):
-        node = system.spawn_node(
-            "V1", profile_by_name("V1"), GeoPoint(44.98, -93.26)
-        )
-    assert node is system.nodes["V1"]
-    assert system.topology.has_endpoint("V1")
-    assert node.alive
+def test_spawn_node_is_removed():
+    assert not hasattr(make_system(), "spawn_node")
 
 
-def test_register_client_endpoint_warns_and_still_works():
-    system = make_system()
-    with pytest.warns(
-        DeprecationWarning, match="register_client_endpoint is deprecated"
-    ):
-        system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
-    assert system.topology.has_endpoint("alice")
+def test_register_client_endpoint_is_removed():
+    assert not hasattr(make_system(), "register_client_endpoint")
 
 
 def test_modern_construction_api_does_not_warn():
@@ -48,21 +38,19 @@ def test_modern_construction_api_does_not_warn():
     system = make_system()
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        system.add_node(
+        node = system.add_node(
             "V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26))
         )
         system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
+    assert node is system.nodes["V1"]
+    assert node.alive
+    assert system.topology.has_endpoint("alice")
 
 
-def test_use_global_overhead_warns_and_maps_to_policy_spec():
-    with pytest.warns(
-        DeprecationWarning, match="use_global_overhead is deprecated"
-    ):
-        legacy_go = SystemConfig(use_global_overhead=True)
-    assert legacy_go.selection_policy_spec == "go"
-    with pytest.warns(DeprecationWarning):
-        legacy_lo = SystemConfig(use_global_overhead=False)
-    assert legacy_lo.selection_policy_spec == "lo"
+def test_use_global_overhead_is_removed():
+    names = {f.name for f in dataclasses.fields(SystemConfig)}
+    assert "use_global_overhead" not in names
+    assert not hasattr(SystemConfig(), "use_global_overhead")
 
 
 def test_policy_spec_does_not_warn():
@@ -74,10 +62,8 @@ def test_policy_spec_does_not_warn():
 
 
 def test_policy_spec_and_legacy_flag_together_rejected():
-    with pytest.raises(ValueError, match="not both"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            SystemConfig(policy_spec="lo", use_global_overhead=True)
+    with pytest.raises(TypeError, match="use_global_overhead"):
+        SystemConfig(policy_spec="lo", use_global_overhead=True)
 
 
 def test_metrics_record_shims_are_removed():
@@ -96,11 +82,8 @@ def test_metrics_record_shims_are_removed():
         assert not hasattr(collector, name), name
 
 
-def test_with_top_n_warns_and_still_works():
-    with pytest.warns(DeprecationWarning, match="with_top_n"):
-        varied = SystemConfig().with_top_n(5)
-    assert varied.top_n == 5
-    assert varied.backup_count == 4
+def test_with_top_n_is_removed():
+    assert not hasattr(SystemConfig(), "with_top_n")
 
 
 def test_with_does_not_warn():

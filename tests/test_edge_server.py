@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.nodes.host_workload import HostWorkload, HostWorkloadSchedule
 
@@ -17,7 +18,7 @@ def system():
 
 @pytest.fixture
 def node(system):
-    return system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    return system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
 
 
 def test_starts_alive_with_primed_cache(system, node):
@@ -186,10 +187,10 @@ def test_failed_node_stops_heartbeating(system, node):
 # ----------------------------------------------------------------------
 def test_host_workload_slows_processing(system):
     schedule = HostWorkloadSchedule([HostWorkload(1_000.0, 10_000.0, 0.5)])
-    node = system.spawn_node(
+    node = system.add_node(
         "V2",
         profile_by_name("V2"),
-        GeoPoint(44.95, -93.20),
+        EndpointSpec(GeoPoint(44.95, -93.20)),
         host_schedule=schedule,
     )
     system.run_for(500.0)

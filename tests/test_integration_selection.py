@@ -10,11 +10,12 @@ import pytest
 
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.core.policies.local_policies import sort_with_qos
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import HardwareProfile, profile_by_name
 from repro.nodes.host_workload import HostWorkload, HostWorkloadSchedule
+from repro.policy import GlobalOverheadPolicy, QosGatedPolicy
 
 
 def test_selection_accounts_for_network_and_processing():
@@ -22,20 +23,20 @@ def test_selection_accounts_for_network_and_processing():
     the paper's core heterogeneity argument (Fig. 3 / Table III)."""
     system = EdgeSystem(SystemConfig(seed=31, top_n=2))
     # Fast hardware, terrible access link (e.g. DSL volunteer).
-    system.spawn_node(
+    system.add_node(
         "fast-far",
         profile_by_name("V1"),  # 24 ms frames
-        GeoPoint(44.96, -93.24),
-        access_extra_ms=40.0,  # +80 ms RTT
+        EndpointSpec(
+            GeoPoint(44.96, -93.24), access_extra_ms=40.0  # +80 ms RTT
+        ),
     )
     # Slower hardware, pristine access link.
-    system.spawn_node(
+    system.add_node(
         "slow-near",
         profile_by_name("V3"),  # 31 ms frames
-        GeoPoint(44.96, -93.24),
-        access_extra_ms=0.0,
+        EndpointSpec(GeoPoint(44.96, -93.24), access_extra_ms=0.0),
     )
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(5_000.0)
@@ -47,14 +48,16 @@ def test_users_spread_across_nodes_under_contention():
     must spread them (the elasticity claim of Fig. 5/6)."""
     system = EdgeSystem(SystemConfig(seed=32, top_n=3))
     for i, name in enumerate(("A", "B", "C")):
-        system.spawn_node(
+        system.add_node(
             name,
             profile_by_name("t2.xlarge"),  # cap ~66 fps each
-            GeoPoint(44.95 + i * 0.01, -93.25),
+            EndpointSpec(GeoPoint(44.95 + i * 0.01, -93.25)),
         )
     for i in range(6):
         user = f"u{i}"
-        system.register_client_endpoint(user, GeoPoint(44.96, -93.24 + i * 0.002))
+        system.add_client_endpoint(
+            user, EndpointSpec(GeoPoint(44.96, -93.24 + i * 0.002))
+        )
         client = EdgeClient(system, user)
         system.clients[user] = client
         system.sim.schedule(i * 1_000.0, client.start)
@@ -72,14 +75,18 @@ def test_rebalancing_when_a_better_node_joins():
     within a few probing periods and wins load."""
     config = SystemConfig(seed=33, top_n=2, min_dwell_ms=2_000.0)
     system = EdgeSystem(config)
-    system.spawn_node("old-slow", profile_by_name("V5"), GeoPoint(44.96, -93.24))
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_node(
+        "old-slow", profile_by_name("V5"), EndpointSpec(GeoPoint(44.96, -93.24))
+    )
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(10_000.0)
     assert client.current_edge == "old-slow"
     before = client.stats.mean_latency_ms
-    system.spawn_node("new-fast", profile_by_name("V1"), GeoPoint(44.96, -93.25))
+    system.add_node(
+        "new-fast", profile_by_name("V1"), EndpointSpec(GeoPoint(44.96, -93.25))
+    )
     system.run_for(15_000.0)
     assert client.current_edge == "new-fast"
     window = system.metrics.completed_latencies(start_ms=18_000.0)
@@ -91,14 +98,17 @@ def test_qos_policy_rejects_when_no_node_qualifies():
     """QoS-constrained selection refuses to attach instead of violating
     the bound (§IV-D's admission control)."""
     system = EdgeSystem(SystemConfig(seed=34, top_n=2))
-    system.spawn_node(
+    system.add_node(
         "distant",
         profile_by_name("V1"),
-        GeoPoint(44.96, -93.24),
-        access_extra_ms=100.0,  # LO far above any sane QoS
+        EndpointSpec(
+            GeoPoint(44.96, -93.24), access_extra_ms=100.0  # LO far above any sane QoS
+        ),
     )
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
-    client = EdgeClient(system, "alice", local_policy=sort_with_qos(60.0))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
+    client = EdgeClient(
+        system, "alice", local_policy=QosGatedPolicy(GlobalOverheadPolicy(), 60.0)
+    )
     system.add_client(client)
     system.run_for(10_000.0)
     assert not client.attached
@@ -113,14 +123,16 @@ def test_host_workload_drives_users_away():
     interference = HostWorkloadSchedule(
         [HostWorkload(8_000.0, 60_000.0, cpu_fraction=0.85)]
     )
-    system.spawn_node(
+    system.add_node(
         "volatile",
         profile_by_name("V1"),
-        GeoPoint(44.96, -93.24),
+        EndpointSpec(GeoPoint(44.96, -93.24)),
         host_schedule=interference,
     )
-    system.spawn_node("steady", profile_by_name("V2"), GeoPoint(44.96, -93.25))
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_node(
+        "steady", profile_by_name("V2"), EndpointSpec(GeoPoint(44.96, -93.25))
+    )
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(6_000.0)
@@ -134,11 +146,11 @@ def test_what_if_cache_bounds_test_invocations():
     the cache; only state changes invoke the synthetic workload."""
     config = SystemConfig(seed=36, top_n=2, probing_period_ms=500.0)
     system = EdgeSystem(config)
-    system.spawn_node("A", profile_by_name("V1"), GeoPoint(44.96, -93.24))
-    system.spawn_node("B", profile_by_name("V2"), GeoPoint(44.96, -93.25))
+    system.add_node("A", profile_by_name("V1"), EndpointSpec(GeoPoint(44.96, -93.24)))
+    system.add_node("B", profile_by_name("V2"), EndpointSpec(GeoPoint(44.96, -93.25)))
     for i in range(4):
         user = f"u{i}"
-        system.register_client_endpoint(user, GeoPoint(44.97, -93.25))
+        system.add_client_endpoint(user, EndpointSpec(GeoPoint(44.97, -93.25)))
         system.add_client(EdgeClient(system, user))
     system.run_for(30_000.0)
     probes = system.metrics.total_probes()
@@ -152,10 +164,12 @@ def test_continuous_service_through_repeated_failures():
     config = SystemConfig(seed=37, top_n=3)
     system = EdgeSystem(config)
     for i in range(5):
-        system.spawn_node(
-            f"n{i}", profile_by_name("t2.xlarge"), GeoPoint(44.95 + i * 0.01, -93.25)
+        system.add_node(
+            f"n{i}",
+            profile_by_name("t2.xlarge"),
+            EndpointSpec(GeoPoint(44.95 + i * 0.01, -93.25)),
         )
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(5_000.0)
@@ -179,14 +193,14 @@ def test_elastic_scaling_with_user_count():
     def average_with(n_users):
         system = EdgeSystem(SystemConfig(seed=38, top_n=3))
         for i in range(4):
-            system.spawn_node(
+            system.add_node(
                 f"n{i}",
                 profile_by_name("t2.xlarge"),
-                GeoPoint(44.95 + i * 0.01, -93.25),
+                EndpointSpec(GeoPoint(44.95 + i * 0.01, -93.25)),
             )
         for i in range(n_users):
             user = f"u{i}"
-            system.register_client_endpoint(user, GeoPoint(44.965, -93.245))
+            system.add_client_endpoint(user, EndpointSpec(GeoPoint(44.965, -93.245)))
             client = EdgeClient(system, user)
             system.clients[user] = client
             system.sim.schedule(i * 500.0, client.start)
@@ -204,11 +218,11 @@ def test_heterogeneous_capacity_gets_proportional_load():
     system = EdgeSystem(SystemConfig(seed=39, top_n=2))
     big = HardwareProfile("big", "big", 8, 20.0, parallelism=4)  # 200 fps
     small = HardwareProfile("small", "small", 2, 40.0, parallelism=1)  # 25 fps
-    system.spawn_node("big", big, GeoPoint(44.96, -93.24))
-    system.spawn_node("small", small, GeoPoint(44.96, -93.25))
+    system.add_node("big", big, EndpointSpec(GeoPoint(44.96, -93.24)))
+    system.add_node("small", small, EndpointSpec(GeoPoint(44.96, -93.25)))
     for i in range(6):
         user = f"u{i}"
-        system.register_client_endpoint(user, GeoPoint(44.97, -93.25))
+        system.add_client_endpoint(user, EndpointSpec(GeoPoint(44.97, -93.25)))
         client = EdgeClient(system, user)
         system.clients[user] = client
         system.sim.schedule(i * 1_000.0, client.start)

@@ -11,6 +11,7 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 SEEDS = [1, 17, 99]
@@ -20,14 +21,16 @@ def run_world(seed, *, with_failures=False, duration_ms=20_000.0):
     config = SystemConfig(seed=seed, top_n=3, probing_period_ms=1_000.0)
     system = EdgeSystem(config)
     for i, name in enumerate(("V1", "V2", "V3", "D6")):
-        system.spawn_node(
+        system.add_node(
             name,
             profile_by_name(name),
-            GeoPoint(44.94 + i * 0.012, -93.26 + i * 0.01),
+            EndpointSpec(GeoPoint(44.94 + i * 0.012, -93.26 + i * 0.01)),
         )
     for i in range(5):
         user = f"u{i}"
-        system.register_client_endpoint(user, GeoPoint(44.96, -93.24 + i * 0.004))
+        system.add_client_endpoint(
+            user, EndpointSpec(GeoPoint(44.96, -93.24 + i * 0.004))
+        )
         client = EdgeClient(system, user)
         system.clients[user] = client
         system.sim.schedule(i * 400.0, client.start)
@@ -35,8 +38,8 @@ def run_world(seed, *, with_failures=False, duration_ms=20_000.0):
         system.sim.schedule(8_000.0, lambda: system.fail_node("V1"))
         system.sim.schedule(
             12_000.0,
-            lambda: system.spawn_node(
-                "V1b", profile_by_name("V1"), GeoPoint(44.95, -93.25)
+            lambda: system.add_node(
+                "V1b", profile_by_name("V1"), EndpointSpec(GeoPoint(44.95, -93.25))
             ),
         )
     system.run_for(duration_ms)

@@ -13,12 +13,10 @@ import pytest
 from repro.api import ScenarioBuilder
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.core.policies.local_policies import sort_by_local_overhead
 from repro.core.probing import ProbeOutcome
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
 from repro.policy import (
-    CallableRankingPolicy,
     ChurnAwarePolicy,
     EwmaRttPolicy,
     GlobalOverheadPolicy,
@@ -93,11 +91,14 @@ def test_build_policy_deep_copies_prototypes():
     assert prototype.suspicion("n1", 0.0) == 0.0
 
 
-def test_build_policy_wraps_legacy_callables():
-    policy = build_policy(sort_by_local_overhead)
-    assert isinstance(policy, CallableRankingPolicy)
-    with pytest.raises(ValueError):
-        build_policy(sort_by_local_overhead, params={"alpha": 0.5})
+def test_build_policy_rejects_callables():
+    def sort_by_lo(outcomes):
+        return sorted(outcomes, key=lambda o: (o.local_overhead_ms, o.node_id))
+
+    with pytest.raises(TypeError):
+        build_policy(sort_by_lo)
+    with pytest.raises(TypeError):
+        SelectionMachine("u1", sort_by_lo, SelectionConfig())
 
 
 def test_build_policy_params_rejected_for_prototypes():
@@ -187,19 +188,6 @@ def test_go_hysteresis_uses_go_scores():
 
 def test_lo_hysteresis_still_blocks_the_switch():
     machine, effects = _hysteresis_round(LocalOverheadPolicy())
-    assert not any(isinstance(e, SendJoin) for e in effects)
-    assert machine.current_edge == "A"
-
-
-def test_legacy_callable_keeps_lo_hysteresis():
-    """A wrapped legacy callable reports LO scores, so its hysteresis is
-    exactly the pre-refactor behaviour even when the callable ranks by
-    GO — that bit-identity is what the adapter exists for."""
-    from repro.core.policies.local_policies import sort_by_global_overhead
-
-    machine, effects = _hysteresis_round(
-        CallableRankingPolicy(sort_by_global_overhead)
-    )
     assert not any(isinstance(e, SendJoin) for e in effects)
     assert machine.current_edge == "A"
 

@@ -2,33 +2,29 @@
 
 ``tests/golden/lo_policy_trace.jsonl`` was recorded before
 ``SelectionMachine`` learned about :class:`repro.policy.SelectionPolicy`
-objects, with the legacy ``use_global_overhead=False`` (LO) ranking.
+objects, with the pre-policy LO ranking.
 Replaying the identical scenario through the policy subsystem must
 reproduce that trace byte-for-byte — the only new output allowed is the
 ``policy_decision`` detail event, which we filter out before comparing
 (and separately assert is present).
 
-A second family of tests pins policy objects against the legacy ranking
-callables they replaced: wiring ``LocalOverheadPolicy`` /
-``GlobalOverheadPolicy`` must produce the same trace as wiring
-``sort_by_local_overhead`` / ``sort_by_global_overhead`` directly.
+``tests/golden/go_policy_trace.jsonl`` pins GO the same way: it was
+recorded from the seed-77 scenario below while the GO sort function the
+policy object replaced was still in the tree, at a commit where the two
+produced identical traces.
 """
 
 import json
 from pathlib import Path
 
 from repro.api import ScenarioBuilder
-from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.core.policies.local_policies import (
-    sort_by_global_overhead,
-    sort_by_local_overhead,
-)
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
-from repro.policy import GlobalOverheadPolicy, LocalOverheadPolicy
+from repro.policy import GlobalOverheadPolicy
 
 GOLDEN = Path(__file__).parent / "golden" / "lo_policy_trace.jsonl"
+GO_GOLDEN = Path(__file__).parent / "golden" / "go_policy_trace.jsonl"
 
 NODES = [
     ("V1", GeoPoint(44.980, -93.260)),
@@ -87,16 +83,9 @@ def _trace_with(policy):
     return [l for l in lines if '"type": "policy_decision"' not in l]
 
 
-def test_lo_policy_object_matches_legacy_callable():
-    assert _trace_with(LocalOverheadPolicy()) == _trace_with(
-        sort_by_local_overhead
-    )
-
-
-def test_go_policy_object_matches_legacy_callable():
-    assert _trace_with(GlobalOverheadPolicy()) == _trace_with(
-        sort_by_global_overhead
-    )
+def test_go_policy_replays_golden_trace():
+    golden = GO_GOLDEN.read_text().splitlines()
+    assert _trace_with(GlobalOverheadPolicy()) == golden
 
 
 def test_policy_decisions_cover_every_probe_round():

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies.local_policies import sort_by_global_overhead
 from repro.core.probing import ProbeOutcome
+from repro.policy import GlobalOverheadPolicy
 from repro.protocol.effects import (
     Attached,
     EmitTrace,
@@ -77,7 +77,7 @@ def probe_rounds(draw):
 def fresh_machine(top_n: int = 3) -> SelectionMachine:
     return SelectionMachine(
         "u-prop",
-        sort_by_global_overhead,
+        GlobalOverheadPolicy(),
         SelectionConfig(top_n=top_n, min_dwell_ms=0.0),
     )
 
@@ -146,7 +146,7 @@ def test_backups_are_ranked_non_chosen(round_data, top_n):
     effects = machine.handle(
         JoinResult(now=3.0, node_id=chosen, accepted=True, attempted_at=2.5)
     )
-    ranked = sort_by_global_overhead(outcomes)
+    ranked = sorted(outcomes, key=lambda o: (o.global_overhead_ms, o.node_id))
     expected = [o.node_id for o in ranked if o.node_id != chosen][: top_n - 1]
     assert machine.monitor.backups == expected
     update = next(e for e in effects if isinstance(e, UpdateBackups))

@@ -42,13 +42,14 @@ def test_version_is_semver_ish():
 def test_readme_quickstart_is_accurate():
     """The README's quickstart snippet must keep working verbatim."""
     from repro import EdgeSystem, EdgeClient, SystemConfig
+    from repro import EndpointSpec
     from repro.geo import GeoPoint
     from repro.nodes import profile_by_name
 
     system = EdgeSystem(SystemConfig(top_n=3, seed=7))
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_node("V2", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20)))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     system.add_client(EdgeClient(system, "alice"))
     system.run_for(30_000)
 

@@ -12,6 +12,7 @@ from repro.core.policies.reputation import (
 )
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 
@@ -87,7 +88,7 @@ def build_system_with_reputation(seed=71):
 
 def test_manager_feeds_tracker_on_heartbeat_and_departure():
     system, tracker = build_system_with_reputation()
-    system.spawn_node("v", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    system.add_node("v", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
     system.run_for(2_000.0)
     assert "v" in tracker.known_identities()
     assert tracker._records["v"].online
@@ -101,8 +102,12 @@ def test_manager_feeds_tracker_on_heartbeat_and_departure():
 def test_flaky_node_loses_candidate_rank():
     system, tracker = build_system_with_reputation()
     # Two identical nodes; 'flaky' has a record of repeated short sessions.
-    system.spawn_node("flaky", profile_by_name("V1"), GeoPoint(44.96, -93.24))
-    system.spawn_node("proven", profile_by_name("V1"), GeoPoint(44.96, -93.24))
+    system.add_node(
+        "flaky", profile_by_name("V1"), EndpointSpec(GeoPoint(44.96, -93.24))
+    )
+    system.add_node(
+        "proven", profile_by_name("V1"), EndpointSpec(GeoPoint(44.96, -93.24))
+    )
     for start in range(0, 40_000, 10_000):
         tracker.record_online("flaky", float(start))
         tracker.record_departure("flaky", float(start) + 300.0)
@@ -115,8 +120,10 @@ def test_flaky_node_loses_candidate_rank():
 
 def test_without_history_order_falls_back_to_availability():
     system, tracker = build_system_with_reputation()
-    system.spawn_node("big", profile_by_name("V1"), GeoPoint(44.96, -93.24))
-    system.spawn_node("small", profile_by_name("V5"), GeoPoint(44.96, -93.24))
+    system.add_node("big", profile_by_name("V1"), EndpointSpec(GeoPoint(44.96, -93.24)))
+    system.add_node(
+        "small", profile_by_name("V5"), EndpointSpec(GeoPoint(44.96, -93.24))
+    )
     system.run_for(2_000.0)
     query = DiscoveryQuery("u1", 44.97, -93.25, top_n=2)
     result = system.manager.discover(query)

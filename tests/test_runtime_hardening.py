@@ -341,3 +341,54 @@ def test_connection_live_edge_round_trip_closes_breaker():
     state, ok = run(scenario())
     assert state == "closed"
     assert ok is True
+
+
+# ----------------------------------------------------------------------
+# Malformed peer input: an error reply, never a dropped connection
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "server, op, payload",
+    [
+        ("edge", "join", {}),
+        ("edge", "leave", "x"),
+        ("manager", "discover", {}),
+        ("manager", "heartbeat", {"status": 3}),
+    ],
+)
+def test_malformed_payload_gets_error_reply_and_connection_survives(
+    server, op, payload
+):
+    from repro.runtime import ManagerServer
+    from repro.runtime.protocol import encode_frame, read_frame
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        unhandled = []
+        loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+        if server == "edge":
+            srv = LiveEdgeServer(
+                "e1", profile_by_name("V1"), GeoPoint(44.98, -93.26), time_scale=0.01
+            )
+        else:
+            srv = ManagerServer()
+        await srv.start()
+        reader, writer = await asyncio.open_connection(srv.host, srv.port)
+        try:
+            writer.write(encode_frame(op, payload))
+            await writer.drain()
+            error = await asyncio.wait_for(read_frame(reader), 2.0)
+            writer.write(encode_frame("status"))
+            await writer.drain()
+            status = await asyncio.wait_for(read_frame(reader), 2.0)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await srv.stop()
+        await asyncio.sleep(0)
+        return error, status, unhandled
+
+    error, status, unhandled = run(scenario())
+    assert error is not None and error["payload"]["ok"] is False
+    assert "malformed" in error["payload"]["error"]
+    assert status is not None and status["payload"]["ok"] is True
+    assert unhandled == []

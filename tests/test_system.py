@@ -7,7 +7,7 @@ from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem, MANAGER_ID
 from repro.geo.point import GeoPoint
 from repro.net.latency import HashedPairRttModel
-from repro.net.topology import NetworkTopology
+from repro.net.topology import EndpointSpec, NetworkTopology
 from repro.nodes.hardware import profile_by_name
 
 
@@ -27,7 +27,7 @@ def test_custom_topology_is_kept_even_when_empty():
 
 def test_spawn_registers_endpoint_and_starts_node():
     system = EdgeSystem(SystemConfig(seed=1))
-    node = system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    node = system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
     assert system.topology.has_endpoint("V1")
     assert node.alive
     assert system.alive_node_count() == 1
@@ -35,16 +35,18 @@ def test_spawn_registers_endpoint_and_starts_node():
 
 def test_spawn_duplicate_alive_id_rejected():
     system = EdgeSystem(SystemConfig(seed=1))
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
     with pytest.raises(ValueError, match="already alive"):
-        system.spawn_node("V1", profile_by_name("V2"), GeoPoint(44.95, -93.20))
+        system.add_node(
+            "V1", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20))
+        )
 
 
 def test_spawn_reuses_id_after_failure():
     system = EdgeSystem(SystemConfig(seed=1))
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
     system.fail_node("V1")
-    node = system.spawn_node("V1", profile_by_name("V2"), GeoPoint(44.95, -93.20))
+    node = system.add_node("V1", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20)))
     assert node.alive
 
 
@@ -52,8 +54,6 @@ def test_node_id_reuse_reregisters_endpoint():
     """Regression: a node id reused after fail_node must re-register its
     endpoint — the replacement may sit somewhere else entirely, and any
     memoized network state for the old endpoint must not leak to it."""
-    from repro.net.topology import EndpointSpec
-
     system = EdgeSystem(SystemConfig(seed=1))
     system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
     rtt_before = system.topology.expected_rtt_ms(MANAGER_ID, "V1")
@@ -64,8 +64,6 @@ def test_node_id_reuse_reregisters_endpoint():
 
 
 def test_add_node_rejects_id_of_non_node_endpoint():
-    from repro.net.topology import EndpointSpec
-
     system = EdgeSystem(SystemConfig(seed=1))
     system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     with pytest.raises(ValueError, match="non-node"):
@@ -74,8 +72,8 @@ def test_add_node_rejects_id_of_non_node_endpoint():
 
 def test_fail_node_records_population_step():
     system = EdgeSystem(SystemConfig(seed=1))
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_node("V2", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20)))
     system.fail_node("V1")
     assert system.alive_node_count() == 1
     assert system.metrics.alive_nodes.values[-1] == 1.0
@@ -89,9 +87,9 @@ def test_fail_unknown_node_is_noop():
 def test_fail_notifies_affected_clients_after_detection_delay():
     config = SystemConfig(seed=1, top_n=2, failure_detection_ms=250.0)
     system = EdgeSystem(config)
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_node("V2", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20)))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(3_000.0)
@@ -137,8 +135,8 @@ def test_add_client_rejects_mis_shaped_client():
 
 def test_add_client_rejects_duplicates():
     system = EdgeSystem(SystemConfig(seed=1))
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     system.add_client(EdgeClient(system, "alice"))
     with pytest.raises(ValueError, match="already"):
         system.add_client(EdgeClient(system, "alice"))
@@ -155,9 +153,13 @@ def test_run_for_advances_clock():
 def test_same_seed_reproduces_trajectory():
     def run():
         system = EdgeSystem(SystemConfig(seed=77, top_n=2))
-        system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-        system.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-        system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+        system.add_node(
+            "V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26))
+        )
+        system.add_node(
+            "V2", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20))
+        )
+        system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
         client = EdgeClient(system, "alice")
         system.add_client(client)
         system.run_for(10_000.0)
